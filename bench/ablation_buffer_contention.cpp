@@ -9,8 +9,6 @@
 //
 // Injection comes from the odtn::traffic generator: each point offers an
 // open-loop Poisson workload whose expected count is the x value.
-// --legacy-injection restores the historical hand-rolled uniform-start
-// injection loop, byte-identical to the pre-traffic output.
 #include <iostream>
 
 #include "common/bench_common.hpp"
@@ -24,7 +22,6 @@ int main(int argc, char** argv) {
   util::Args args(argc, argv);
   bench::WallTimer timer;
   auto base = bench::base_config(args);
-  bool legacy = args.get_bool("legacy-injection", false);
   std::size_t repeats = std::max<std::size_t>(1, base.runs / 20);
   bench::print_header("Ablation", "Delivery under buffer contention",
                       "n=100, K=3, g=5, T=1800; x = concurrent messages",
@@ -46,30 +43,16 @@ int main(int argc, char** argv) {
       auto trace = trace::sample_poisson_trace(graph, 3600.0, rng);
       groups::GroupDirectory dir(base.nodes, base.group_size, &rng);
 
-      std::vector<sim::InjectedMessage> messages;
-      if (legacy) {
-        for (std::size_t i = 0; i < load; ++i) {
-          sim::InjectedMessage m;
-          m.src = static_cast<NodeId>(rng.below(base.nodes));
-          m.dst = static_cast<NodeId>(rng.below(base.nodes - 1));
-          if (m.dst >= m.src) ++m.dst;
-          m.start = rng.uniform(0.0, 600.0);
-          m.ttl = 1800.0;
-          m.num_relays = base.num_relays;
-          messages.push_back(m);
-        }
-      } else {
-        // Open-loop Poisson offered load: E[count] = x over [0, 600).
-        traffic::FlowConfig flow;
-        flow.rate = static_cast<double>(load) / 600.0;
-        flow.ttl = 1800.0;
-        flow.num_relays = base.num_relays;
-        traffic::TrafficConfig workload;
-        workload.flows.push_back(flow);
-        workload.horizon = 600.0;
-        messages = traffic::TrafficPlan(workload, base.nodes, rng.next())
-                       .specs();
-      }
+      // Open-loop Poisson offered load: E[count] = x over [0, 600).
+      traffic::FlowConfig flow;
+      flow.rate = static_cast<double>(load) / 600.0;
+      flow.ttl = 1800.0;
+      flow.num_relays = base.num_relays;
+      traffic::TrafficConfig workload;
+      workload.flows.push_back(flow);
+      workload.horizon = 600.0;
+      auto messages =
+          traffic::TrafficPlan(workload, base.nodes, rng.next()).specs();
 
       for (std::size_t cap : {0u, 4u, 1u}) {
         sim::NetworkSimConfig cfg;

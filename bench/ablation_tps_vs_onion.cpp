@@ -7,8 +7,7 @@
 //
 // Message arrivals come from the odtn::traffic generator: each run routes
 // a small Poisson workload (E[4] messages over the deadline window) with
-// both protocols. --legacy-injection restores the historical
-// one-message-per-run draw, byte-identical to the pre-traffic output.
+// both protocols.
 #include <iostream>
 
 #include "common/bench_common.hpp"
@@ -22,7 +21,6 @@ int main(int argc, char** argv) {
   util::Args args(argc, argv);
   bench::WallTimer timer;
   auto base = bench::base_config(args);
-  bool legacy = args.get_bool("legacy-injection", false);
   bench::print_header("Ablation", "TPS (tau=3 of s=5 shares) vs onion routing",
                       "n=100, g=5; onion K in {3,5}; x = deadline", base);
 
@@ -47,25 +45,16 @@ int main(int argc, char** argv) {
       routing::SingleCopyOnionRouting onion(ctx);
       routing::ThresholdPivotRouting tps(dir, keys, {5, 3});
 
-      std::vector<routing::MessageSpec> specs;
-      if (legacy) {
-        routing::MessageSpec spec;
-        spec.src = static_cast<NodeId>(rng.below(base.nodes));
-        spec.dst = static_cast<NodeId>(rng.below(base.nodes - 1));
-        if (spec.dst >= spec.src) ++spec.dst;
-        spec.ttl = deadline;
-        specs.push_back(spec);
-      } else {
-        // Poisson arrivals over one deadline window, E[count] = 4.
-        traffic::FlowConfig flow;
-        flow.rate = 4.0 / deadline;
-        flow.ttl = deadline;
-        flow.num_relays = 3;
-        traffic::TrafficConfig workload;
-        workload.flows.push_back(flow);
-        workload.horizon = deadline;
-        specs = traffic::TrafficPlan(workload, base.nodes, rng.next()).specs();
-      }
+      // Poisson arrivals over one deadline window, E[count] = 4.
+      traffic::FlowConfig flow;
+      flow.rate = 4.0 / deadline;
+      flow.ttl = deadline;
+      flow.num_relays = 3;
+      traffic::TrafficConfig workload;
+      workload.flows.push_back(flow);
+      workload.horizon = deadline;
+      auto specs =
+          traffic::TrafficPlan(workload, base.nodes, rng.next()).specs();
 
       for (routing::MessageSpec spec : specs) {
         spec.num_relays = 3;

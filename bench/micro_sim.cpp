@@ -299,7 +299,12 @@ BENCHMARK(BM_TrafficGen)->Arg(1)->Arg(10);
 
 // One fully loaded network-sim run: Poisson workload with priorities over
 // a pre-sampled trace, finite per-contact bandwidth and finite buffers —
-// the scheduled (priority-ordered, budgeted) drainage path end to end.
+// the priority-ordered, budgeted drainage path end to end. The argument
+// scales the offered load (/1 = 0.25 msg/unit per flow, /4 = four times
+// that) on the same trace and budget. Contacts and buffers cap the work
+// each contact does, so /4 costs about 3x /1; a per-contact scan over
+// every message would grow with the message count and show up as a /4
+// regression against its baseline.
 void BM_LoadedSimStep(benchmark::State& state) {
   // odtn-lint: allow(rng) — bench-local stream: seeded directly from --seed
   // so published figure/ablation tables stay pinned to their historical
@@ -311,7 +316,7 @@ void BM_LoadedSimStep(benchmark::State& state) {
 
   traffic::TrafficConfig workload;
   traffic::FlowConfig flow;
-  flow.rate = 0.25;
+  flow.rate = 0.25 * static_cast<double>(state.range(0));
   flow.ttl = 1800.0;
   workload.flows.push_back(flow);
   flow.priority = 1;
@@ -329,7 +334,7 @@ void BM_LoadedSimStep(benchmark::State& state) {
         trace, dir, plan.specs(), plan.priorities(), cfg, run_rng));
   }
 }
-BENCHMARK(BM_LoadedSimStep)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LoadedSimStep)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 // BM_LoadedSimStep with the full recovery stack on (ACK vaccines,
 // jittered retransmission, suspicion-biased retries, overload shedding) —

@@ -51,13 +51,16 @@ namespace {
 
 constexpr std::size_t kUnlimited = std::numeric_limits<std::size_t>::max();
 
+// One buffered copy of a message. The source's own spray state is a
+// hop-0 copy holding the message's spray tickets; a relayed copy holds one
+// ticket (onion mode) or its share of the binary split (utility mode).
 struct Copy {
   std::size_t msg;
-  std::size_t hop;  // onion groups traversed so far (1..K)
+  std::size_t hop;  // onion groups traversed so far (0 = at the source)
   NodeId holder;
   Time arrival = 0.0;  // when the current holder received it
   bool alive = true;
-  /// Utility-forwarder mode only: spray tickets this copy still owns.
+  /// Spray tickets this copy still owns.
   std::size_t tickets = 1;
   /// First time an eligible transfer of this copy was deferred by contact
   /// bandwidth; kTimeInfinity = not queued (feeds "sim.queue_wait").
@@ -65,14 +68,6 @@ struct Copy {
   /// Recovery generation that sent this copy: 0 = the original send, n =
   /// the n-th retransmission. Each generation routes through its own
   /// freshly sampled relay groups; in-flight copies keep theirs.
-  std::uint32_t gen = 0;
-};
-
-struct SourceToken {
-  std::size_t tickets;
-  bool alive = true;
-  Time queued_since = kTimeInfinity;
-  /// Generation the source is currently spraying (see Copy::gen).
   std::uint32_t gen = 0;
 };
 
@@ -84,20 +79,14 @@ struct Engine {
   std::vector<InjectedMessage> messages;
   std::vector<std::uint8_t> priorities;  // empty = all class 0
   std::vector<std::vector<GroupId>> relay_groups;  // per message
-  std::vector<SourceToken> tokens;                 // per message
   std::vector<std::unordered_set<NodeId>> seen;    // per message
 
   std::vector<Copy> copies;
   std::vector<std::vector<NodeId>> copy_paths;  // record_paths only
-  std::vector<std::set<std::size_t>> holdings;  // node -> copy ids
-  std::vector<std::size_t> load;                // node -> buffered items
+  std::vector<std::set<std::size_t>> holdings;  // node -> live copy ids
 
-  // Scheduled drainage (bandwidth / priorities / utility forwarder / wire
-  // cells); when false the engine runs the exact legacy per-direction
-  // loops.
-  bool scheduled = false;
   routing::UtilityForwarder* utility = nullptr;
-  // Budget units one executed transfer consumes: 1 on the legacy path,
+  // Budget units one executed transfer consumes: 1 normally,
   // cells_per_message in wire mode (the budget is then cell-denominated).
   std::size_t cell_cost = 1;
 
@@ -131,10 +120,6 @@ struct Engine {
       retx_due;
   recovery::SaturationWindow sat_window;
   std::vector<std::size_t> ack_diff_scratch;  // exchange_acks reuse
-  // learn_ack's private holdings snapshot. It must NOT share
-  // holdings_scratch: ACKs are born inside attempt_copy, which
-  // transfer_direction reaches while iterating holdings_scratch.
-  std::vector<std::size_t> ack_gc_scratch;
 
   // Observability handles (inert when config->metrics is null).
   metrics::CounterHandle m_transfers;
@@ -151,8 +136,9 @@ struct Engine {
   metrics::CounterHandle m_transfer_failures;
   metrics::CounterHandle m_crash_flushed;
   metrics::CounterHandle m_blackhole_absorbed;
-  // Congestion accounting (resolved only on the scheduled path — same
-  // byte-identity contract as the fault handles).
+  // Congestion accounting (resolved only under load — bandwidth,
+  // priorities, utility forwarder or wire cells — same byte-identity
+  // contract as the fault handles).
   metrics::CounterHandle m_queue_deferred;
   metrics::CounterHandle m_contacts_saturated;
   metrics::HistogramHandle m_queue_wait;
@@ -171,21 +157,15 @@ struct Engine {
   metrics::CounterHandle m_suspicion_flips;
   std::size_t crash_cursor = 0;
 
-  // (deadline, kind, id): kind 0 = source token (id = msg), 1 = copy.
-  using Expiry = std::tuple<Time, int, std::size_t>;
+  // (deadline, copy id).
+  using Expiry = std::pair<Time, std::size_t>;
   std::priority_queue<Expiry, std::vector<Expiry>, std::greater<>> expiries;
 
-  // Reused snapshot of a node's holdings, taken wherever the loop body
-  // mutates the set it walks; one buffer serves every call site since the
-  // snapshots never overlap in time.
-  std::vector<std::size_t> holdings_scratch;
-
-  // One contact's transfer candidates (scheduled path), reused.
+  // One contact's transfer candidates, reused. `order` is the execution
+  // order key (see transfer_scheduled).
   struct Cand {
-    std::uint8_t pri;
-    std::uint32_t seq;   // collection order = the legacy execution order
-    std::uint8_t kind;   // 0 = source token, 1 = copy
-    std::size_t id;      // msg index (kind 0) or copy id (kind 1)
+    std::uint64_t order;
+    std::size_t id;  // copy id
     NodeId sender;
     NodeId receiver;
   };
@@ -199,7 +179,7 @@ struct Engine {
 
   bool buffer_full(NodeId v) const {
     return config->buffer_capacity != 0 &&
-           load[v] >= config->buffer_capacity;
+           holdings[v].size() >= config->buffer_capacity;
   }
 
   // Tries to admit one more item at `v`, applying the buffer policy.
@@ -213,15 +193,13 @@ struct Engine {
       return false;
     }
     // kDropOldest: evict the relayed copy that has waited longest.
-    // Locally-originated state is never evicted: source tokens are not
-    // copies at all, and (utility mode) a copy still held by its own
-    // source is skipped. Tie-break on equal arrival times: the scan walks
-    // the ordered holdings set and keeps the *first* minimum, so the
+    // Locally-originated state is never evicted: a copy still held by its
+    // own source is skipped. Tie-break on equal arrival times: the scan
+    // walks the ordered holdings set and keeps the *first* minimum, so the
     // lowest copy id — the earliest-created copy — wins deterministically.
     std::size_t victim = SIZE_MAX;
     Time oldest = kTimeInfinity;
     for (std::size_t id : holdings[v]) {
-      if (!copies[id].alive) continue;
       if (copies[id].holder == messages[copies[id].msg].src) continue;
       if (copies[id].arrival < oldest) {
         oldest = copies[id].arrival;
@@ -234,9 +212,7 @@ struct Engine {
       m_rejections.inc();
       return false;
     }
-    copies[victim].alive = false;
-    holdings[v].erase(victim);
-    --load[v];
+    drop(victim);
     ++report.evicted_copies;
     m_evictions.inc();
     return true;
@@ -261,7 +237,7 @@ struct Engine {
     if (rec == nullptr || !rec->shedding()) return false;
     if (pri(m) < rec->shed_priority_floor) return false;
     if (rec->shed_occupancy > 0.0 && config->buffer_capacity > 0 &&
-        static_cast<double>(load[messages[m].src]) >=
+        static_cast<double>(holdings[messages[m].src].size()) >=
             rec->shed_occupancy *
                 static_cast<double>(config->buffer_capacity)) {
       return true;
@@ -287,40 +263,34 @@ struct Engine {
       retx_interval[m] = rec->retx_timeout;
       schedule_retx(m, msg.start);
     }
-    if (utility != nullptr) {
-      // Utility mode: the source holds a real copy carrying all L spray
-      // tickets (no token/relay-group machinery).
-      std::size_t id = copies.size();
-      copies.push_back({m, 0, msg.src, msg.start, true, msg.copies});
-      if (config->record_paths) copy_paths.emplace_back();
-      holdings[msg.src].insert(id);
-      ++load[msg.src];
-      seen[m].insert(msg.src);
-      expiries.emplace(deadline_of(m), 1, id);
-      return;
-    }
-    tokens[m].tickets = msg.copies;
-    tokens[m].alive = true;
-    ++load[msg.src];
     seen[m].insert(msg.src);
-    expiries.emplace(deadline_of(m), 0, m);
+    add_source_copy(m, 0, msg.start);
+  }
+
+  // Puts a fresh hop-0 copy of message m of generation `gen`, carrying
+  // all its spray tickets, into the source's buffer.
+  void add_source_copy(std::size_t m, std::uint32_t gen, Time arrival) {
+    const auto& msg = messages[m];
+    std::size_t id = copies.size();
+    copies.push_back({m, 0, msg.src, arrival, true, msg.copies,
+                      kTimeInfinity, gen});
+    if (config->record_paths) copy_paths.emplace_back();
+    holdings[msg.src].insert(id);
+    expiries.emplace(deadline_of(m), id);
+  }
+
+  // Removes a live copy from its holder's buffer.
+  void drop(std::size_t id) {
+    copies[id].alive = false;
+    holdings[copies[id].holder].erase(id);
   }
 
   // Pops exactly one expiry-heap entry (the caller checked it is due).
   void expire_one() {
-    auto [deadline, kind, id] = expiries.top();
+    const std::size_t id = expiries.top().second;
     expiries.pop();
-    if (kind == 0) {
-      if (tokens[id].alive) {
-        tokens[id].alive = false;
-        --load[messages[id].src];
-        ++report.expired_copies;
-        m_expirations.inc();
-      }
-    } else if (copies[id].alive) {
-      copies[id].alive = false;
-      holdings[copies[id].holder].erase(id);
-      --load[copies[id].holder];
+    if (copies[id].alive) {
+      drop(id);
       ++report.expired_copies;
       m_expirations.inc();
     }
@@ -328,30 +298,17 @@ struct Engine {
 
   // Processes exactly one crash-reboot event (the caller checked it is
   // due): the crashed node's buffered copies — relayed copies and its own
-  // spray state — are flushed. Lost, not leaked: a flushed copy simply
-  // ceases to exist. The node's learned ACK set survives (it is durable
-  // metadata, not buffered payload).
+  // hop-0 source copies — are flushed. Lost, not leaked: a flushed copy
+  // simply ceases to exist. The node's learned ACK set survives (it is
+  // durable metadata, not buffered payload).
   void flush_one_crash() {
     const auto& events = config->faults->crashes();
     NodeId v = events[crash_cursor].node;
     ++crash_cursor;
-    holdings_scratch.assign(holdings[v].begin(), holdings[v].end());
-    for (std::size_t id : holdings_scratch) {
-      if (!copies[id].alive) continue;
-      copies[id].alive = false;
-      holdings[v].erase(id);
-      --load[v];
-      ++report.crash_flushed_copies;
-      m_crash_flushed.inc();
-    }
-    for (std::size_t m = 0; m < messages.size(); ++m) {
-      if (tokens[m].alive && messages[m].src == v) {
-        tokens[m].alive = false;
-        --load[v];
-        ++report.crash_flushed_copies;
-        m_crash_flushed.inc();
-      }
-    }
+    for (std::size_t id : holdings[v]) copies[id].alive = false;
+    report.crash_flushed_copies += holdings[v].size();
+    m_crash_flushed.inc(holdings[v].size());
+    holdings[v].clear();
   }
 
   // Advances simulated time to t, interleaving TTL expirations (due
@@ -364,7 +321,7 @@ struct Engine {
   // expire first, matching the historical all-expiries-then-crashes pass.
   void advance_time(Time t) {
     if (config->faults == nullptr) {
-      while (!expiries.empty() && std::get<0>(expiries.top()) < t) {
+      while (!expiries.empty() && expiries.top().first < t) {
         expire_one();
       }
       return;
@@ -373,7 +330,7 @@ struct Engine {
     for (;;) {
       const Time next_expiry = expiries.empty()
                                    ? kTimeInfinity
-                                   : std::get<0>(expiries.top());
+                                   : expiries.top().first;
       const Time next_crash = crash_cursor < crashes.size()
                                   ? crashes[crash_cursor].time
                                   : kTimeInfinity;
@@ -411,32 +368,26 @@ struct Engine {
   /// delivering generation's groups exonerated in the suspicion tracker.
   void learn_ack(NodeId v, std::size_t m, Time t) {
     if (!ack_known[v].insert(m).second) return;
-    ack_gc_scratch.assign(holdings[v].begin(), holdings[v].end());
-    for (std::size_t id : ack_gc_scratch) {
-      if (!copies[id].alive || copies[id].msg != m) continue;
-      copies[id].alive = false;
-      holdings[v].erase(id);
-      --load[v];
+    // At the source this also ends the spray: its hop-0 copy goes too.
+    auto& held = holdings[v];
+    for (auto it = held.begin(); it != held.end();) {
+      if (copies[*it].msg != m) {
+        ++it;
+        continue;
+      }
+      copies[*it].alive = false;
+      it = held.erase(it);
       ++report.ack_gc_copies;
       m_ack_gc.inc();
     }
-    if (messages[m].src != v) return;
-    if (tokens[m].alive) {
-      // The source stops spraying a message it knows was delivered.
-      tokens[m].alive = false;
-      --load[v];
-      ++report.ack_gc_copies;
-      m_ack_gc.inc();
-    }
-    if (!src_acked[m]) {
-      src_acked[m] = 1;
-      ++report.acked_at_source;
-      m_acked_at_source.inc();
-      m_ack_delay.observe(t - messages[m].start);
-      if (suspicion != nullptr && utility == nullptr) {
-        for (GroupId g : groups_of(m, delivered_gen[m])) {
-          suspicion->record(g, /*acked=*/true);
-        }
+    if (messages[m].src != v || src_acked[m]) return;
+    src_acked[m] = 1;
+    ++report.acked_at_source;
+    m_acked_at_source.inc();
+    m_ack_delay.observe(t - messages[m].start);
+    if (suspicion != nullptr && utility == nullptr) {
+      for (GroupId g : groups_of(m, delivered_gen[m])) {
+        suspicion->record(g, /*acked=*/true);
       }
     }
   }
@@ -482,7 +433,8 @@ struct Engine {
       // The timeout is the sender's failure signal: the timed-out
       // generation's relay groups take a suspicion penalty.
       if (suspicion != nullptr && utility == nullptr) {
-        for (GroupId g : groups_of(m, tokens[m].gen)) {
+        const auto gen = static_cast<std::uint32_t>(retx_groups[m].size());
+        for (GroupId g : groups_of(m, gen)) {
           suspicion->record(g, /*acked=*/false);
         }
       }
@@ -494,8 +446,9 @@ struct Engine {
 
   /// Re-onions message m at time t: a fresh generation through freshly
   /// sampled relay groups (suspicion-biased when the tracker is on), and
-  /// a full ticket allotment at the source. Utility mode re-injects a
-  /// fresh spray copy instead (no relay groups to sample).
+  /// a full ticket allotment at the source's hop-0 copy (re-created if it
+  /// was lost). Utility mode re-injects a fresh spray copy instead (no
+  /// relay groups to sample).
   void retransmit(std::size_t m, Time t) {
     const auto& msg = messages[m];
     ++retx_attempts[m];
@@ -504,12 +457,7 @@ struct Engine {
     m_retransmits.inc();
     if (utility != nullptr) {
       if (buffer_full(msg.src)) return;  // no room: the attempt is spent
-      std::size_t id = copies.size();
-      copies.push_back({m, 0, msg.src, t, true, msg.copies});
-      if (config->record_paths) copy_paths.emplace_back();
-      holdings[msg.src].insert(id);
-      ++load[msg.src];
-      expiries.emplace(deadline_of(m), 1, id);
+      add_source_copy(m, 0, t);
       return;
     }
     retx_groups[m].push_back(
@@ -519,17 +467,18 @@ struct Engine {
                   msg_rng[m])
             : directory->select_relay_groups(msg.src, msg.dst,
                                              msg.num_relays, msg_rng[m]));
-    tokens[m].gen = static_cast<std::uint32_t>(retx_groups[m].size());
-    tokens[m].tickets = msg.copies;
-    if (!tokens[m].alive) {
-      if (buffer_full(msg.src)) {
-        tokens[m].tickets = 0;
-        return;  // no room to re-enqueue: the attempt is spent
+    const auto gen = static_cast<std::uint32_t>(retx_groups[m].size());
+    for (std::size_t id : holdings[msg.src]) {
+      Copy& c = copies[id];
+      if (c.msg == m && c.hop == 0) {  // still spraying: re-arm in place
+        c.gen = gen;
+        c.tickets = msg.copies;
+        return;
       }
-      tokens[m].alive = true;
-      ++load[msg.src];
-      expiries.emplace(deadline_of(m), 0, m);
     }
+    if (buffer_full(msg.src)) return;  // no room: the attempt is spent
+    // Onion sprays measure "sim.hop_delay" from the message start.
+    add_source_copy(m, gen, msg.start);
   }
 
   // Whether `receiver` is a valid next hop for message m at `hop` of
@@ -565,163 +514,58 @@ struct Engine {
   }
 
   // --- transfer eligibility + execution ------------------------------
-  // Split so the legacy per-direction loops and the scheduled (bandwidth/
-  // priority) drainage share one set of semantics. An attempt_* helper
-  // assumes eligibility was just checked and returns true iff a transfer
-  // actually executed (the unit that consumes contact bandwidth); fault
-  // losses and buffer refusals return false and consume nothing.
 
-  bool token_eligible(std::size_t m, NodeId sender, NodeId receiver,
-                      Time t) const {
-    return tokens[m].alive && messages[m].src == sender &&
-           t <= deadline_of(m) && qualifies(m, tokens[m].gen, 0, receiver);
-  }
-
-  bool attempt_token(std::size_t m, NodeId sender, NodeId receiver, Time t) {
-    faults::FaultPlan* fp = config->faults;
-    // A failed handoff consumes no spray ticket and leaves the receiver
-    // eligible for a retry at the next contact.
-    if (fp != nullptr && fp->transfer_fails(sender, receiver)) {
-      ++report.transfer_failures;
-      m_transfer_failures.inc();
-      return false;
-    }
-    if (!make_room(receiver, m)) return false;
-    std::size_t id = copies.size();
-    copies.push_back({m, 1, receiver, t, true, 1, kTimeInfinity,
-                      tokens[m].gen});
-    if (config->record_paths) {
-      copy_paths.emplace_back(1, receiver);
-      record_relay(m, 0, receiver);
-    }
-    holdings[receiver].insert(id);
-    ++load[receiver];
-    seen[m].insert(receiver);
-    expiries.emplace(deadline_of(m), 1, id);
-    ++report.outcomes[m].transmissions;
-    ++report.total_transmissions;
-    m_transfers.inc();
-    m_hop_delay.observe(t - messages[m].start);
-    if (fp != nullptr && fp->is_blackhole(receiver)) {
-      ++report.blackhole_absorbed;
-      m_blackhole_absorbed.inc();
-    }
-    if (--tokens[m].tickets == 0) {
-      tokens[m].alive = false;
-      --load[sender];
-    }
-    note_served(tokens[m].queued_since, t);
-    // A message with num_relays == 0 would deliver straight from the
-    // token; the constructor rejects that case, so hop 1 is always a
-    // relay position here.
-    return true;
-  }
-
-  bool copy_eligible(std::size_t id, NodeId sender, NodeId receiver,
-                     Time t) const {
-    const Copy& c = copies[id];
-    return c.alive && c.holder == sender && t <= deadline_of(c.msg) &&
-           qualifies(c.msg, c.gen, c.hop, receiver);
-  }
-
-  bool attempt_copy(std::size_t id, NodeId sender, NodeId receiver, Time t) {
-    faults::FaultPlan* fp = config->faults;
-    Copy& c = copies[id];
-    std::size_t m = c.msg;
-    // Mid-contact failure: the sender keeps its copy; retry later.
-    if (fp != nullptr && fp->transfer_fails(sender, receiver)) {
-      ++report.transfer_failures;
-      m_transfer_failures.inc();
-      return false;
-    }
-
-    if (receiver == messages[m].dst && c.hop == messages[m].num_relays) {
-      // Delivery: the destination consumes the message (no buffer cost).
-      ++report.outcomes[m].transmissions;
-      ++report.total_transmissions;
-      m_transfers.inc();
-      m_hop_delay.observe(t - c.arrival);
-      seen[m].insert(receiver);
-      if (!report.outcomes[m].delivered) {
-        report.outcomes[m].delivered = true;
-        report.outcomes[m].delay = t - messages[m].start;
-        m_deliveries.inc();
-        m_delivery_delay.observe(t - messages[m].start);
-        if (config->record_paths) {
-          report.outcomes[m].relay_path = copy_paths[id];
-        }
-      }
-      const std::uint32_t gen = c.gen;
-      c.alive = false;
-      holdings[sender].erase(id);
-      --load[sender];
-      note_served(c.queued_since, t);
-      born_ack(m, gen, sender, receiver, t);
-      return true;
-    }
-
-    if (!make_room(receiver, m)) return false;
-    if (!c.alive) return false;  // evicted by make_room on its own holder
-    // Forward and free the sender's slot (single ticket per copy).
-    ++report.outcomes[m].transmissions;
-    ++report.total_transmissions;
-    m_transfers.inc();
-    m_hop_delay.observe(t - c.arrival);
-    holdings[sender].erase(id);
-    --load[sender];
-    c.holder = receiver;
-    c.arrival = t;
-    if (config->record_paths) {
-      record_relay(m, c.hop, receiver);
-      copy_paths[id].push_back(receiver);
-    }
-    ++c.hop;
-    holdings[receiver].insert(id);
-    ++load[receiver];
-    seen[m].insert(receiver);
-    if (fp != nullptr && fp->is_blackhole(receiver)) {
-      ++report.blackhole_absorbed;
-      m_blackhole_absorbed.inc();
-    }
-    note_served(c.queued_since, t);
-    return true;
-  }
-
-  // Utility-forwarder mode: a copy may deliver to the destination or
-  // binary-split its spray tickets toward a higher-utility, uncongested
-  // custodian. Decisions are pure functions of simulated state (no RNG).
-  bool ucopy_eligible(std::size_t id, NodeId sender, NodeId receiver,
-                      Time t) const {
+  // Whether copy `id` may move from `sender` to `receiver` at time t.
+  // Onion mode: `receiver` qualifies for the copy's next hop. Utility mode:
+  // a copy may deliver to the destination or binary-split its spray
+  // tickets toward a higher-utility, uncongested custodian (pure functions
+  // of simulated state, no RNG).
+  bool eligible(std::size_t id, NodeId sender, NodeId receiver,
+                Time t) const {
     const Copy& c = copies[id];
     if (!c.alive || c.holder != sender || t > deadline_of(c.msg)) {
       return false;
     }
-    std::size_t m = c.msg;
+    if (utility == nullptr) return qualifies(c.msg, c.gen, c.hop, receiver);
+    const std::size_t m = c.msg;
     if (seen[m].count(receiver) > 0) return false;
     if (receiver == messages[m].dst) return true;
     return c.tickets > 1 &&
            utility->should_replicate(sender, receiver, messages[m].dst,
-                                     load[receiver],
+                                     holdings[receiver].size(),
                                      config->buffer_capacity);
   }
 
-  bool attempt_ucopy(std::size_t id, NodeId sender, NodeId receiver, Time t) {
+  // Executes one transfer of copy `id`, whose eligibility was just
+  // checked: deliver to the destination, spray (a hop-0 onion copy hands
+  // one ticket into R_1; a utility copy gives away half its tickets), or
+  // forward the whole copy one onion hop. Returns true iff a transfer
+  // executed — the unit that consumes contact bandwidth. A mid-contact
+  // fault or a buffer refusal returns false and consumes nothing: the
+  // sender keeps its copy and its tickets, and may retry later.
+  bool attempt(std::size_t id, NodeId sender, NodeId receiver, Time t) {
     faults::FaultPlan* fp = config->faults;
-    std::size_t m = copies[id].msg;
+    const std::size_t m = copies[id].msg;
     if (fp != nullptr && fp->transfer_fails(sender, receiver)) {
       ++report.transfer_failures;
       m_transfer_failures.inc();
-      utility->observe_transfer_outcome(receiver, false);
+      if (utility != nullptr) {
+        utility->observe_transfer_outcome(receiver, false);
+      }
       return false;
     }
+    const bool deliver =
+        receiver == messages[m].dst &&
+        (utility != nullptr || copies[id].hop == messages[m].num_relays);
+    // The destination consumes the message at no buffer cost.
+    if (!deliver && !make_room(receiver, m)) return false;
+    ++report.outcomes[m].transmissions;
+    ++report.total_transmissions;
+    m_transfers.inc();
+    m_hop_delay.observe(t - copies[id].arrival);
+    seen[m].insert(receiver);
 
-    if (receiver == messages[m].dst) {
-      Copy& c = copies[id];
-      ++report.outcomes[m].transmissions;
-      ++report.total_transmissions;
-      m_transfers.inc();
-      m_hop_delay.observe(t - c.arrival);
-      seen[m].insert(receiver);
+    if (deliver) {
       if (!report.outcomes[m].delivered) {
         report.outcomes[m].delivered = true;
         report.outcomes[m].delay = t - messages[m].start;
@@ -731,140 +575,96 @@ struct Engine {
           report.outcomes[m].relay_path = copy_paths[id];
         }
       }
-      const std::uint32_t gen = c.gen;
-      c.alive = false;
+      drop(id);
+      born_ack(m, copies[id].gen, sender, receiver, t);
+    } else if (utility != nullptr || copies[id].hop == 0) {
+      // Spray: the receiver gets a new copy one hop further on.
+      const std::size_t give =
+          utility != nullptr ? copies[id].tickets / 2 : 1;  // >= 1
+      const std::size_t hop = copies[id].hop;
+      const std::size_t id2 = copies.size();
+      copies.push_back({m, hop + 1, receiver, t, true, give, kTimeInfinity,
+                        copies[id].gen});
+      if (config->record_paths) {
+        copy_paths.push_back(copy_paths[id]);
+        copy_paths[id2].push_back(receiver);
+        record_relay(m, hop, receiver);
+      }
+      holdings[receiver].insert(id2);
+      expiries.emplace(deadline_of(m), id2);
+      copies[id].tickets -= give;  // re-resolved: push_back may reallocate
+      if (copies[id].tickets == 0) drop(id);
+    } else {
+      // Forward: the whole copy moves one onion hop on.
+      Copy& c = copies[id];
       holdings[sender].erase(id);
-      --load[sender];
-      note_served(c.queued_since, t);
-      born_ack(m, gen, sender, receiver, t);
-      utility->observe_transfer_outcome(receiver, true);
-      return true;
+      c.holder = receiver;
+      c.arrival = t;
+      if (config->record_paths) {
+        record_relay(m, c.hop, receiver);
+        copy_paths[id].push_back(receiver);
+      }
+      ++c.hop;
+      holdings[receiver].insert(id);
     }
-
-    if (!make_room(receiver, m)) return false;
-    if (!copies[id].alive) return false;  // evicted out from under us
-    // Replicate: the receiver takes half the tickets, the sender keeps
-    // the rest (spray-and-wait binary splitting).
-    const std::size_t give = copies[id].tickets / 2;  // >= 1: tickets > 1
-    const std::size_t hop = copies[id].hop;
-    std::size_t id2 = copies.size();
-    copies.push_back({m, hop + 1, receiver, t, true, give});
-    if (config->record_paths) {
-      copy_paths.push_back(copy_paths[id]);
-      copy_paths[id2].push_back(receiver);
-      record_relay(m, hop, receiver);
-    }
-    Copy& c = copies[id];  // re-resolve: push_back may reallocate
-    c.tickets -= give;
-    holdings[receiver].insert(id2);
-    ++load[receiver];
-    seen[m].insert(receiver);
-    expiries.emplace(deadline_of(m), 1, id2);
-    ++report.outcomes[m].transmissions;
-    ++report.total_transmissions;
-    m_transfers.inc();
-    m_hop_delay.observe(t - c.arrival);
-    if (fp != nullptr && fp->is_blackhole(receiver)) {
+    note_served(copies[id].queued_since, t);
+    if (!deliver && fp != nullptr && fp->is_blackhole(receiver)) {
       ++report.blackhole_absorbed;
       m_blackhole_absorbed.inc();
     }
-    note_served(c.queued_since, t);
-    utility->observe_transfer_outcome(receiver, true);
+    if (utility != nullptr) utility->observe_transfer_outcome(receiver, true);
     return true;
   }
 
-  // Attempts every transfer from `sender` to `receiver` at time t — the
-  // legacy unlimited-bandwidth drainage (exact historical order: source
-  // tokens in message order, then relayed copies in copy-id order).
-  void transfer_direction(NodeId sender, NodeId receiver, Time t) {
-    faults::FaultPlan* fp = config->faults;
-    // Blackholes accept copies but never forward them.
-    if (fp != nullptr && fp->is_blackhole(sender)) return;
-
-    // Source token: hand a fresh copy into R_1.
-    for (std::size_t m = 0; m < messages.size(); ++m) {
-      if (!token_eligible(m, sender, receiver, t)) continue;
-      attempt_token(m, sender, receiver, t);
-    }
-
-    // Relayed copies.
-    holdings_scratch.assign(holdings[sender].begin(), holdings[sender].end());
-    for (std::size_t id : holdings_scratch) {
-      if (!copy_eligible(id, sender, receiver, t)) continue;
-      attempt_copy(id, sender, receiver, t);
-    }
-  }
-
-  // Scheduled drainage: both directions' candidates are collected against
-  // the state at contact start (collection order = the legacy execution
-  // order), sorted by (priority, collection order), and executed within
-  // the shared bandwidth budget. Eligibility is re-checked at execution —
-  // earlier transfers may have evicted a candidate or consumed a token —
-  // and eligible candidates past the budget are deferred to a later
-  // contact (that wait is "sim.queue_wait"). With a uniform priority
-  // class and an unlimited budget this executes the identical transfer
-  // sequence as the two legacy transfer_direction passes. In wire mode
-  // each executed transfer spends cell_cost budget units (the budget is
-  // cell-denominated) and lands in the sim.wire_* accounting.
+  // Contact drainage: both directions' candidates are collected against
+  // the state at contact start, sorted by the order key, and executed
+  // within the shared bandwidth budget. The key is (priority, direction
+  // a->b before b->a, then hop-0 onion source copies by message index
+  // before every other copy by copy id). Eligibility is re-checked at
+  // execution — earlier transfers may have evicted a candidate, spent a
+  // source's last ticket or garbage-collected it with an ACK — and
+  // eligible candidates past the budget are deferred to a later contact
+  // (that wait is "sim.queue_wait"). In wire mode each executed transfer
+  // spends cell_cost budget units (the budget is cell-denominated) and
+  // lands in the sim.wire_* accounting.
   void transfer_scheduled(NodeId a, NodeId b, Time t, std::size_t budget) {
     faults::FaultPlan* fp = config->faults;
     cand_scratch.clear();
-    std::uint32_t seq = 0;
-    auto collect = [&](NodeId sender, NodeId receiver) {
+    auto collect = [&](NodeId sender, NodeId receiver, std::uint64_t dir) {
+      // Blackholes accept copies but never forward them.
       if (fp != nullptr && fp->is_blackhole(sender)) return;
-      if (utility != nullptr) {
-        for (std::size_t id : holdings[sender]) {
-          if (!ucopy_eligible(id, sender, receiver, t)) continue;
-          cand_scratch.push_back(
-              {pri(copies[id].msg), seq++, 1, id, sender, receiver});
-        }
-        return;
-      }
-      for (std::size_t m = 0; m < messages.size(); ++m) {
-        if (!token_eligible(m, sender, receiver, t)) continue;
-        cand_scratch.push_back({pri(m), seq++, 0, m, sender, receiver});
-      }
       for (std::size_t id : holdings[sender]) {
-        if (!copy_eligible(id, sender, receiver, t)) continue;
+        if (!eligible(id, sender, receiver, t)) continue;
+        const Copy& c = copies[id];
+        const std::uint64_t rank = utility == nullptr && c.hop == 0
+                                       ? c.msg
+                                       : (std::uint64_t{1} << 54) | id;
         cand_scratch.push_back(
-            {pri(copies[id].msg), seq++, 1, id, sender, receiver});
+            {(std::uint64_t{pri(c.msg)} << 56) | (dir << 55) | rank, id,
+             sender, receiver});
       }
     };
-    collect(a, b);
-    collect(b, a);
-    // (pri, seq) pairs are unique, so plain sort is a total order.
+    collect(a, b, 0);
+    collect(b, a, 1);
+    // Order keys are unique (one live hop-0 copy per message), so plain
+    // sort is a total order.
     std::sort(cand_scratch.begin(), cand_scratch.end(),
-              [](const Cand& x, const Cand& y) {
-                if (x.pri != y.pri) return x.pri < y.pri;
-                return x.seq < y.seq;
-              });
+              [](const Cand& x, const Cand& y) { return x.order < y.order; });
 
     std::size_t executed = 0;
     bool saturated = false;
     for (const Cand& c : cand_scratch) {
-      const bool eligible =
-          utility != nullptr ? ucopy_eligible(c.id, c.sender, c.receiver, t)
-          : c.kind == 0      ? token_eligible(c.id, c.sender, c.receiver, t)
-                             : copy_eligible(c.id, c.sender, c.receiver, t);
-      if (!eligible) continue;
-      // Budget check in cost units (cells in wire mode, transfers
-      // otherwise); at cell_cost == 1 this is the legacy
-      // `executed >= budget`.
+      if (!eligible(c.id, c.sender, c.receiver, t)) continue;
       if (executed + cell_cost > budget) {
-        // Out of bandwidth: the item starts (or continues) queueing.
+        // Out of bandwidth: the copy starts (or continues) queueing.
         saturated = true;
         ++report.queue_deferred;
         m_queue_deferred.inc();
-        Time& qs = c.kind == 0 ? tokens[c.id].queued_since
-                               : copies[c.id].queued_since;
+        Time& qs = copies[c.id].queued_since;
         if (qs == kTimeInfinity) qs = t;
         continue;
       }
-      const bool done =
-          utility != nullptr ? attempt_ucopy(c.id, c.sender, c.receiver, t)
-          : c.kind == 0      ? attempt_token(c.id, c.sender, c.receiver, t)
-                             : attempt_copy(c.id, c.sender, c.receiver, t);
-      if (done) {
+      if (attempt(c.id, c.sender, c.receiver, t)) {
         executed += cell_cost;
         if (config->cells_per_message > 0) {
           report.wire_cells += config->cells_per_message;
@@ -893,7 +693,6 @@ struct Engine {
     if (wire_on) cell_cost = config->cells_per_message;
     bool priorities_on = false;
     for (std::uint8_t p : priorities) priorities_on |= (p != 0);
-    scheduled = bandwidth_on || priorities_on || utility != nullptr || wire_on;
     rec = (config->recovery != nullptr && config->recovery->enabled())
               ? config->recovery
               : nullptr;
@@ -918,7 +717,7 @@ struct Engine {
       metrics::counter(reg, "faults.blackhole_nodes")
           .inc(config->faults->blackhole_count());
     }
-    if (scheduled) {
+    if (bandwidth_on || priorities_on || utility != nullptr || wire_on) {
       // Same contract: the unloaded export carries no sim.queue_* entries.
       m_queue_deferred = metrics::counter(reg, "sim.queue_deferred");
       m_contacts_saturated = metrics::counter(reg, "sim.contacts_saturated");
@@ -970,10 +769,8 @@ struct Engine {
     }
 
     report.outcomes.assign(messages.size(), {});
-    tokens.assign(messages.size(), SourceToken{0, false, kTimeInfinity});
     seen.assign(messages.size(), {});
     holdings.assign(trace->node_count(), {});
-    load.assign(trace->node_count(), 0);
 
     // Select relay groups per message (skipped — with no RNG drawn — in
     // utility-forwarder mode, which routes without onion groups).
@@ -1027,23 +824,18 @@ struct Engine {
         // the one it is about to route over.
         utility->observe_contact(event.a, event.b, event.time);
       }
-      if (scheduled) {
-        std::size_t budget = kUnlimited;
-        if (bandwidth_on) {
-          const auto& bw = config->bandwidth;
-          if (bw.mean_duration > 0.0) {
-            const double duration = rng.exponential(1.0 / bw.mean_duration);
-            budget = static_cast<std::size_t>(duration / bw.transfer_time);
-          } else {
-            budget = bw.messages_per_contact;
-          }
-          m_contact_capacity.observe(static_cast<double>(budget));
+      std::size_t budget = kUnlimited;
+      if (bandwidth_on) {
+        const auto& bw = config->bandwidth;
+        if (bw.mean_duration > 0.0) {
+          const double duration = rng.exponential(1.0 / bw.mean_duration);
+          budget = static_cast<std::size_t>(duration / bw.transfer_time);
+        } else {
+          budget = bw.messages_per_contact;
         }
-        transfer_scheduled(event.a, event.b, event.time, budget);
-      } else {
-        transfer_direction(event.a, event.b, event.time);
-        transfer_direction(event.b, event.a, event.time);
+        m_contact_capacity.observe(static_cast<double>(budget));
       }
+      transfer_scheduled(event.a, event.b, event.time, budget);
     }
     // Messages injected after the last event never move, but simulated
     // time still advances to each injection instant: expired and

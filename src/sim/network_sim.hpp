@@ -9,8 +9,9 @@
 //
 // Protocol semantics follow Algorithms 1-2: single-copy onion forwarding
 // per message, or multi-copy with source tickets handed to members of the
-// first relay group (Algorithm 2's literal reading). A transfer happens at
-// a contact (a, b) iff b is in the message's next onion group (or is the
+// first relay group (Algorithm 2's literal reading). The source's tickets
+// live in an ordinary hop-0 copy in its buffer. A transfer happens at a
+// contact (a, b) iff b is in the message's next onion group (or is the
 // destination on the last hop), b does not already hold or relay the
 // message, and b has buffer space.
 //
@@ -20,12 +21,12 @@
 //     durations drawn Exp(mean_duration)); eligible transfers beyond the
 //     budget wait for a later contact (queueing delay, "sim.queue_*"
 //     metrics);
-//   * priority classes — transfers drain in (priority, arrival-order)
-//     order, so an urgent class is never starved behind bulk traffic at
-//     the same contact.
-// With bandwidth off, priorities uniform, and no utility forwarder, the
-// engine runs the exact historical code path: behavior, metrics export,
-// and RNG draw order are byte-identical to builds before the load layer.
+//   * priority classes — transfers drain in priority order, so an urgent
+//     class is never starved behind bulk traffic at the same contact.
+// Every contact drains through one path whatever the load; with
+// bandwidth off, priorities uniform, and no utility forwarder it draws
+// no extra RNG and registers no load metrics, so the behavior and metrics
+// export are those of the unloaded engine.
 #pragma once
 
 #include <cstdint>
@@ -140,12 +141,10 @@ struct NetworkSimConfig {
   /// Wire-accurate accounting (src/circuit): each executed transfer
   /// crosses its contact as this many fixed-size cells, and the shared
   /// bandwidth budget is denominated in cells instead of messages. 0 =
-  /// off, the historical one-unit transfer (at cost 1 and any budget the
-  /// executed transfer sequence is unchanged — the engine checks
-  /// `spent + cost > budget` which degenerates to the legacy
-  /// `executed >= budget`). > 0 forces scheduled drainage so the cost can
-  /// charge against the budget; "sim.wire_cells"/"sim.wire_bytes" register
-  /// only then (byte-identity contract).
+  /// off, the one-unit transfer (the engine checks `spent + cost >
+  /// budget`, which at cost 1 is `executed >= budget`).
+  /// "sim.wire_cells"/"sim.wire_bytes" register only when > 0
+  /// (byte-identity contract).
   std::size_t cells_per_message = 0;
   /// Bytes per cell, for the wire-bytes accounting (wire mode only).
   std::size_t cell_size = 0;
@@ -197,15 +196,16 @@ struct NetworkSimReport {
   std::size_t crash_flushed_copies = 0;
   /// Copies handed to blackhole nodes (absorbed, never forwarded).
   std::size_t blackhole_absorbed = 0;
-  // Congestion accounting (all zero without bandwidth/priority/utility —
-  // the legacy unlimited-contact path).
+  // Congestion accounting (queue_deferred and contacts_saturated stay zero
+  // with unlimited contact bandwidth).
   /// Eligible transfers pushed past a contact's bandwidth budget.
   std::size_t queue_deferred = 0;
   /// Contacts whose budget ran out with eligible transfers still waiting.
   std::size_t contacts_saturated = 0;
   /// Largest budget spend any single contact carried (the bandwidth-cap
   /// conservation invariant: <= the per-contact budget). Denominated in
-  /// transfers on the legacy path, in cells in wire mode.
+  /// transfers, or in cells in wire mode. Set on every run, unloaded ones
+  /// included (there it is the busiest contact's transfer count).
   std::size_t max_contact_transfers = 0;
   // Recovery accounting (all zero when NetworkSimConfig::recovery is null
   // or disabled).
@@ -242,8 +242,8 @@ NetworkSimReport run_network_sim(const trace::ContactTrace& trace,
 
 /// As above with per-message priority classes (0 = most urgent; parallel
 /// to `messages`, empty = all class 0). Contact drainage is ordered by
-/// (priority, arrival order); with every priority equal to 0 this is the
-/// exact legacy engine.
+/// priority first; with every priority equal to 0 this is the overload
+/// above.
 NetworkSimReport run_network_sim(const trace::ContactTrace& trace,
                                  const groups::GroupDirectory& directory,
                                  std::vector<InjectedMessage> messages,

@@ -32,24 +32,33 @@ std::string Args::get(const std::string& name, const std::string& def) const {
   return it == flags_.end() ? def : it->second;
 }
 
+namespace {
+
+// Parses the whole of `s` as a T. A value from_chars does not consume
+// completely ("1x", "", "0.5" for an integer) throws std::invalid_argument
+// naming the flag, so a typo fails loudly instead of running with a prefix.
+template <typename T>
+T parse_number(const std::string& name, const std::string& s) {
+  T v{};
+  const char* end = s.data() + s.size();
+  auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc() || ptr != end) {
+    throw std::invalid_argument("--" + name + ": not a number: '" + s + "'");
+  }
+  return v;
+}
+
+}  // namespace
+
 std::int64_t Args::get_int(const std::string& name, std::int64_t def) const {
   auto it = flags_.find(name);
-  if (it == flags_.end()) return def;
-  // Like strtoll, an unparsable value yields 0 (v stays as initialized) and
-  // trailing garbage after a numeric prefix is ignored.
-  const std::string& s = it->second;
-  std::int64_t v = 0;
-  std::from_chars(s.data(), s.data() + s.size(), v, 10);
-  return v;
+  return it == flags_.end() ? def
+                            : parse_number<std::int64_t>(name, it->second);
 }
 
 double Args::get_double(const std::string& name, double def) const {
   auto it = flags_.find(name);
-  if (it == flags_.end()) return def;
-  const std::string& s = it->second;
-  double v = 0.0;
-  std::from_chars(s.data(), s.data() + s.size(), v);
-  return v;
+  return it == flags_.end() ? def : parse_number<double>(name, it->second);
 }
 
 bool Args::get_bool(const std::string& name, bool def) const {

@@ -20,6 +20,8 @@ class Args {
 
   bool has(const std::string& name) const;
   std::string get(const std::string& name, const std::string& def) const;
+  /// Numeric getters throw std::invalid_argument when the value is not
+  /// entirely a number (`--seed=1x`, `--runs=`).
   std::int64_t get_int(const std::string& name, std::int64_t def) const;
   double get_double(const std::string& name, double def) const;
   bool get_bool(const std::string& name, bool def) const;

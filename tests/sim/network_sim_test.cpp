@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "faults/faults.hpp"
+#include "metrics/metrics.hpp"
+#include "recovery/recovery.hpp"
 #include "trace/synthetic.hpp"
 #include "util/stats.hpp"
 
@@ -166,8 +169,8 @@ TEST(NetworkSim, DropOldestEvictsToAdmit) {
 }
 
 TEST(NetworkSim, DropOldestNeverEvictsSourceTokens) {
-  // Node 0 holds its own (source) token; capacity 1. Another message
-  // offered to node 0 cannot evict the token.
+  // Node 0 holds its own (source) copy; capacity 1. Another message
+  // offered to node 0 cannot evict it.
   groups::GroupDirectory dir(4, 1);
   trace::ContactTrace t(4, {{10.0, 1, 0}});
   InjectedMessage own;
@@ -334,6 +337,59 @@ TEST(NetworkSim, MultiCopySpraysAtMostLTimes) {
   auto report = run_network_sim(trace, dir, {m}, {}, rng);
   // Direct-to-first-group tickets: cost <= (K+1) * L.
   EXPECT_LE(report.outcomes[0].transmissions, 12u);
+}
+
+// Queue wait measures time spent queued, not time the message was gone.
+// A source copy deferred by contact bandwidth and then crash-flushed is
+// lost; the copy retransmission re-creates starts unqueued, so serving it
+// later records no wait that spans the absence.
+TEST(NetworkSim, QueueWaitDoesNotSpanCrashFlushedSourceCopy) {
+  // Churn seed 5: nodes 0 and 1 are up at t=10 and t=100, node 0 crashes
+  // once in between (c ~ 19.8) and node 1 never does.
+  faults::FaultConfig fc;
+  fc.mean_uptime = 100.0;
+  fc.mean_downtime = 20.0;
+  faults::FaultPlan plan(fc, 3, 1000.0, 5);
+  ASSERT_TRUE(plan.node_up(0, 10.0) && plan.node_up(1, 10.0));
+  ASSERT_TRUE(plan.node_up(0, 100.0) && plan.node_up(1, 100.0));
+  const Time crash = plan.next_crash_after(0, 10.0);
+  ASSERT_LT(crash, 100.0);
+  ASSERT_GT(plan.next_crash_after(0, crash), 100.0);
+  ASSERT_FALSE(plan.crashed_in(1, 0.0, 100.0));
+
+  // g = 1 and three nodes: node 1 is the only relay from 0 to 2. Both
+  // messages start at 0; the t=10 contact carries one transfer, so message
+  // 0 sprays and message 1 is deferred. Both retransmit at t=100, after
+  // the crash; message 0 cannot reuse node 1 (already seen), so the t=100
+  // contact serves message 1 alone, unsaturated.
+  groups::GroupDirectory dir(3, 1);
+  trace::ContactTrace t(3, {{10.0, 0, 1}, {100.0, 0, 1}});
+  InjectedMessage m;
+  m.src = 0;
+  m.dst = 2;
+  m.ttl = 500.0;
+  m.num_relays = 1;
+  recovery::RecoveryConfig rc;
+  rc.retx_timeout = 100.0;
+  rc.retx_jitter = 0.0;
+  metrics::Registry reg;
+  NetworkSimConfig cfg;
+  cfg.bandwidth.messages_per_contact = 1;
+  cfg.faults = &plan;
+  cfg.recovery = &rc;
+  cfg.metrics = &reg;
+  util::Rng rng(1);
+  auto report = run_network_sim(t, dir, {m, m}, cfg, rng);
+
+  EXPECT_EQ(report.queue_deferred, 1u);
+  EXPECT_EQ(report.contacts_saturated, 1u);
+  EXPECT_EQ(report.crash_flushed_copies, 1u);
+  EXPECT_EQ(report.retransmissions, 2u);
+  EXPECT_EQ(report.outcomes[0].transmissions, 1u);
+  EXPECT_EQ(report.outcomes[1].transmissions, 1u);
+  // The only deferral ended in the crash, so no wait was ever served.
+  const auto& wait = reg.entries().at("sim.queue_wait").hist;
+  EXPECT_EQ(wait.count(), 0u) << "max wait " << wait.max();
 }
 
 TEST(NetworkSim, Validation) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace odtn::util {
@@ -77,6 +79,44 @@ TEST(Args, FlagFollowedByFlagDoesNotConsume) {
   Args a = make_args({"prog", "--flag", "--runs=5"});
   EXPECT_TRUE(a.get_bool("flag", false));
   EXPECT_EQ(a.get_int("runs", 0), 5);
+}
+
+TEST(Args, NegativeAndExponentNumbers) {
+  Args a = make_args({"prog", "--offset=-3", "--rate=1e-2"});
+  EXPECT_EQ(a.get_int("offset", 0), -3);
+  EXPECT_DOUBLE_EQ(a.get_double("rate", 0), 0.01);
+}
+
+TEST(Args, PartialIntegerThrows) {
+  Args a = make_args({"prog", "--seed=1x", "--runs=", "--n=2.5", "--k=abc"});
+  EXPECT_THROW(a.get_int("seed", 0), std::invalid_argument);
+  EXPECT_THROW(a.get_int("runs", 0), std::invalid_argument);
+  EXPECT_THROW(a.get_int("n", 0), std::invalid_argument);
+  EXPECT_THROW(a.get_int("k", 0), std::invalid_argument);
+}
+
+TEST(Args, PartialDoubleThrows) {
+  Args a = make_args({"prog", "--rate=0.5s", "--ttl=", "--x= 1"});
+  EXPECT_THROW(a.get_double("rate", 0), std::invalid_argument);
+  EXPECT_THROW(a.get_double("ttl", 0), std::invalid_argument);
+  EXPECT_THROW(a.get_double("x", 0), std::invalid_argument);
+}
+
+TEST(Args, BareFlagIsNotANumber) {
+  Args a = make_args({"prog", "--runs"});
+  EXPECT_THROW(a.get_int("runs", 1), std::invalid_argument);
+}
+
+TEST(Args, PartialNumberMessageNamesFlagAndValue) {
+  Args a = make_args({"prog", "--seed=1x"});
+  try {
+    a.get_int("seed", 0);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--seed"), std::string::npos) << what;
+    EXPECT_NE(what.find("1x"), std::string::npos) << what;
+  }
 }
 
 }  // namespace
