@@ -1,8 +1,8 @@
 #include "sim/network_sim.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <iterator>
 #include <limits>
 #include <optional>
 #include <queue>
@@ -97,9 +97,13 @@ struct Engine {
   recovery::SuspicionTracker* suspicion = nullptr;
   std::optional<recovery::SuspicionTracker> own_tracker;
   std::size_t tracker_flips_at_start = 0;
-  /// node -> delivery ACKs known (ordered: the exchange fold is
-  /// deterministic and lint-clean).
-  std::vector<std::set<std::size_t>> ack_known;
+  /// Delivery ACKs known per node: a flat node-major bitset, bit m of row
+  /// v (ack_words words per row) set once v knows message m's ACK. Costs
+  /// n * ceil(M/64) * 8 bytes; a std::set node is ~40 B per known ACK, so
+  /// the bitset is smaller once a node knows more than ~1 in 320 messages.
+  /// An exchange costs O(M/64) words per contact.
+  std::vector<std::uint64_t> ack_known;
+  std::size_t ack_words = 0;
   std::vector<std::uint8_t> ack_exists;  // msg -> ACK record born at dst
   std::vector<std::uint8_t> src_acked;   // msg -> source learned the ACK
   std::vector<std::size_t> retx_attempts;      // msg -> retransmissions so far
@@ -119,7 +123,6 @@ struct Engine {
                       std::greater<>>
       retx_due;
   recovery::SaturationWindow sat_window;
-  std::vector<std::size_t> ack_diff_scratch;  // exchange_acks reuse
 
   // Observability handles (inert when config->metrics is null).
   metrics::CounterHandle m_transfers;
@@ -367,7 +370,10 @@ struct Engine {
   /// pending retransmission is canceled, the ack delay recorded, and the
   /// delivering generation's groups exonerated in the suspicion tracker.
   void learn_ack(NodeId v, std::size_t m, Time t) {
-    if (!ack_known[v].insert(m).second) return;
+    std::uint64_t& word = ack_known[v * ack_words + m / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (m % 64);
+    if ((word & bit) != 0) return;
+    word |= bit;
     // At the source this also ends the spray: its hop-0 copy goes too.
     auto& held = holdings[v];
     for (auto it = held.begin(); it != held.end();) {
@@ -394,14 +400,21 @@ struct Engine {
 
   /// Anti-packet exchange at a surviving contact: both endpoints end up
   /// knowing the union of their ACK sets. Metadata-sized, so it consumes
-  /// no contact bandwidth budget.
+  /// no contact bandwidth budget. `to` learns the ACKs only `from` knows
+  /// in ascending message id, a then b, so learn_ack's side effects keep
+  /// a fixed order.
   void exchange_acks(NodeId a, NodeId b, Time t) {
     auto pull = [&](NodeId to, NodeId from) {
-      ack_diff_scratch.clear();
-      std::set_difference(ack_known[from].begin(), ack_known[from].end(),
-                          ack_known[to].begin(), ack_known[to].end(),
-                          std::back_inserter(ack_diff_scratch));
-      for (std::size_t m : ack_diff_scratch) learn_ack(to, m, t);
+      const std::uint64_t* from_row = ack_known.data() + from * ack_words;
+      const std::uint64_t* to_row = ack_known.data() + to * ack_words;
+      for (std::size_t w = 0; w < ack_words; ++w) {
+        // learn_ack only sets bits of this very word of `to`, all of them
+        // already in `fresh`, so the snapshot stays exact.
+        for (std::uint64_t fresh = from_row[w] & ~to_row[w]; fresh != 0;
+             fresh &= fresh - 1) {
+          learn_ack(to, w * 64 + std::countr_zero(fresh), t);
+        }
+      }
     };
     pull(a, b);
     pull(b, a);
@@ -742,7 +755,8 @@ struct Engine {
       m_ack_gc = metrics::counter(reg, "recovery.ack_gc_copies");
       m_suspicion_flips = metrics::counter(reg, "recovery.suspicion_flips");
 
-      ack_known.assign(trace->node_count(), {});
+      ack_words = (messages.size() + 63) / 64;
+      ack_known.assign(trace->node_count() * ack_words, 0);
       ack_exists.assign(messages.size(), 0);
       src_acked.assign(messages.size(), 0);
       delivered_gen.assign(messages.size(), 0);

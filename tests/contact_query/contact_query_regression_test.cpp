@@ -6,34 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
+
+#include "common/golden_output.hpp"
 
 namespace {
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "cannot open " << path;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-// Drops the timing/environment lines the goldens exclude: wall time, the
-// metrics-path echo, and the runs/seed/threads banner line.
-std::string stable_lines(const std::string& text) {
-  std::istringstream in(text);
-  std::ostringstream out;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("# wall_time_s", 0) == 0) continue;
-    if (line.rfind("# metrics:", 0) == 0) continue;
-    if (line.find("threads:") != std::string::npos) continue;
-    out << line << "\n";
-  }
-  return out.str();
-}
+using odtn::test::read_file;
+using odtn::test::stable_lines;
 
 void run_fig06_and_compare(int threads) {
   const std::string out_path =

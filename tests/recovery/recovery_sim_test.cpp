@@ -1,10 +1,15 @@
 // Recovery semantics inside the whole-network simulator: ACK (vaccine)
 // conservation, expiry-vs-crash reclamation ordering under churn, stale
 // state at tail injections, suspicion convergence against a known
-// blackhole set, and shed-before-collapse under saturating load.
+// blackhole set, shed-before-collapse under saturating load, ACK exchange
+// across bitset word boundaries, and the accounting invariants swept over
+// seeds.
 #include "sim/network_sim.hpp"
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <tuple>
 
 #include "faults/faults.hpp"
 #include "recovery/recovery.hpp"
@@ -59,6 +64,54 @@ TEST(RecoverySim, AckConservation) {
   // vaccinated away after their message delivers.
   EXPECT_GT(report.ack_gc_copies, 0u);
   EXPECT_GT(report.acked_at_source, 0u);
+}
+
+// ACK knowledge spans several 64-bit words once a run carries more than 64
+// messages. 140 messages on a 3-node line 0 - 1 - 2 (g = 1, so node 1 is
+// every message's only relay): even ids travel 0 -> 2, odd ids 2 -> 0.
+// Ids with m % 7 == 3 expire at their source before the first contact, so
+// the delivered set has holes in every word while ids 63, 64, 127 and 128
+// deliver. Dozens of ACKs then cross each of the last two contacts
+// together, and each source must learn every one of its delivered ACKs.
+TEST(RecoverySim, AckExchangeAcrossWordBoundaries) {
+  groups::GroupDirectory dir(3, 1);
+  trace::ContactTrace t(3, {{10.0, 0, 1},    // 0 sprays its messages to 1
+                            {15.0, 1, 2},    // 1 delivers 0 -> 2; 2 sprays
+                            {20.0, 0, 1},    // 1 delivers 2 -> 0; 0 learns
+                            {40.0, 1, 2}});  // 2 learns its ACKs from 1
+  constexpr std::size_t kMessages = 140;
+  std::vector<InjectedMessage> messages(kMessages);
+  for (std::size_t m = 0; m < kMessages; ++m) {
+    messages[m].src = m % 2 == 0 ? 0 : 2;
+    messages[m].dst = m % 2 == 0 ? 2 : 0;
+    messages[m].num_relays = 1;
+    messages[m].copies = 2;  // the source keeps a ticket for the vaccine
+    messages[m].ttl = m % 7 == 3 ? 5.0 : 1000.0;
+  }
+
+  recovery::RecoveryConfig rc;
+  rc.acks = true;
+  NetworkSimConfig cfg;
+  cfg.recovery = &rc;
+  util::Rng rng(1);
+  auto report = run_network_sim(t, dir, messages, {}, cfg, rng);
+
+  ASSERT_EQ(report.outcomes.size(), kMessages);
+  std::size_t delivered = 0;
+  for (std::size_t m = 0; m < kMessages; ++m) {
+    EXPECT_EQ(report.outcomes[m].delivered, m % 7 != 3) << "message " << m;
+    delivered += report.outcomes[m].delivered ? 1 : 0;
+  }
+  for (std::size_t m : {63, 64, 127, 128}) {
+    EXPECT_TRUE(report.outcomes[m].delivered) << "message " << m;
+  }
+  EXPECT_EQ(report.acks_created, delivered);
+  EXPECT_LE(report.acked_at_source, report.acks_created);
+  // Every delivered message's source later met node 1, which knew the ACK
+  // from the delivering contact on, so every source learned it.
+  EXPECT_EQ(report.acked_at_source, delivered);
+  // Each source's leftover spray copy of a delivered message is vaccinated.
+  EXPECT_GT(report.ack_gc_copies, 0u);
 }
 
 // Satellite regression: a relayed copy whose TTL expires at e and whose
@@ -242,6 +295,76 @@ TEST(RecoverySim, ShedsLowPriorityBeforeCollapse) {
   EXPECT_GE(urgent_on, urgent_off);
   EXPECT_LT(on.queue_deferred, off.queue_deferred);
 }
+
+// The accounting invariants perfbench checks on every loaded run, swept
+// over seeds instead of hand-picked: 12 random n = 40 worlds with churn,
+// link failures, blackholes, two priority classes and a contact budget,
+// each run with ACKs only and with the full recovery stack.
+class RecoveryAccountingSweep
+    : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+
+TEST_P(RecoveryAccountingSweep, InvariantsHoldOnEveryRun) {
+  const auto [seed, full_stack] = GetParam();
+  constexpr NodeId kNodes = 40;
+  util::Rng rng(static_cast<std::uint64_t>(seed));
+  auto graph = graph::random_contact_graph(kNodes, rng, 5.0, 60.0);
+  auto trace = trace::sample_poisson_trace(graph, 2500.0, rng);
+  groups::GroupDirectory dir(kNodes, 4, &rng);
+
+  std::vector<InjectedMessage> messages;
+  std::vector<std::uint8_t> priorities;
+  for (int i = 0; i < 150; ++i) {
+    InjectedMessage m;
+    m.src = static_cast<NodeId>(rng.below(kNodes));
+    m.dst = static_cast<NodeId>(rng.below(kNodes - 1));
+    if (m.dst >= m.src) ++m.dst;
+    m.start = rng.uniform(0.0, 800.0);
+    m.ttl = 1200.0;
+    m.copies = 3;
+    messages.push_back(m);
+    priorities.push_back(static_cast<std::uint8_t>(i % 2));
+  }
+
+  faults::FaultConfig fc;
+  fc.p_fail = 0.15;
+  fc.mean_uptime = 400.0;
+  fc.mean_downtime = 100.0;
+  fc.blackhole_fraction = 0.15;
+  faults::FaultPlan plan(fc, kNodes, trace.end_time(), rng.next());
+
+  recovery::RecoveryConfig rc;
+  rc.acks = true;
+  if (full_stack) {
+    rc.retx_timeout = 250.0;
+    rc.suspicion_alpha = 0.3;
+    rc.shed_occupancy = 0.9;
+    rc.shed_saturation = 0.75;
+  }
+  NetworkSimConfig cfg;
+  cfg.buffer_capacity = 8;
+  cfg.policy = BufferPolicy::kDropOldest;
+  cfg.bandwidth.messages_per_contact = 2;
+  cfg.faults = &plan;
+  cfg.recovery = &rc;
+  cfg.recovery_seed = rng.next();
+  auto report = run_network_sim(trace, dir, messages, priorities, cfg, rng);
+
+  ASSERT_EQ(report.outcomes.size(), messages.size());
+  std::size_t delivered = 0;
+  for (const auto& o : report.outcomes) delivered += o.delivered ? 1 : 0;
+  ASSERT_GT(delivered, 0u);
+  EXPECT_EQ(report.acks_created, delivered);
+  EXPECT_LE(report.acked_at_source, report.acks_created);
+  EXPECT_LE(report.max_contact_transfers, cfg.bandwidth.messages_per_contact);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedsByStack, RecoveryAccountingSweep,
+    ::testing::Combine(::testing::Range(1, 13), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<int, bool>>& info) {
+      return "seed" + std::to_string(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "_full" : "_acks");
+    });
 
 }  // namespace
 }  // namespace odtn::sim

@@ -132,7 +132,7 @@ echo "== perf smoke: micro_sim hot paths vs BENCH_micro_sim.json =="
 # under load — rerun pinned (taskset -c 0) before treating a failure as
 # real.
 "$repo/build/bench/micro_sim" \
-    --benchmark_filter='^BM_MultiCopyRoute/3$|^BM_ExperimentRun$|^BM_TrafficGen/10$|^BM_LoadedSimStep/1$|^BM_LoadedSimStep/4$|^BM_RecoveryStep$|^BM_WireSimStep$' \
+    --benchmark_filter='^BM_MultiCopyRoute/3$|^BM_ExperimentRun$|^BM_TrafficGen/10$|^BM_LoadedSimStep/1$|^BM_LoadedSimStep/4$|^BM_RecoveryStep/1$|^BM_RecoveryStep/4$|^BM_WireSimStep$' \
     --benchmark_repetitions=5 \
     --baseline="$repo/BENCH_micro_sim.json" --max-regression-pct=20 \
     > /dev/null
