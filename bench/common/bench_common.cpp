@@ -11,9 +11,9 @@ namespace odtn::bench {
 
 core::ExperimentConfig base_config(const util::Args& args) {
   core::ExperimentConfig cfg;
-  cfg.runs = static_cast<std::size_t>(args.get_int("runs", 200));
-  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  cfg.threads = static_cast<std::size_t>(args.get_int("threads", 0));
+  cfg.runs = args.get_uint("runs", 200);
+  cfg.seed = args.get_uint("seed", 1);
+  cfg.threads = args.get_uint("threads", 0);
   cfg.collect_metrics = args.has("metrics-out");
   std::string backend = args.get("contact-backend", "dense");
   if (backend == "sparse") {
@@ -22,9 +22,9 @@ core::ExperimentConfig base_config(const util::Args& args) {
     throw std::invalid_argument(
         "bench: --contact-backend must be dense or sparse");
   }
-  cfg.avg_degree = static_cast<std::size_t>(args.get_int("avg-degree", 0));
-  cfg.communities = static_cast<std::size_t>(args.get_int("communities", 0));
-  cfg.group_shards = static_cast<std::size_t>(args.get_int("group-shards", 0));
+  cfg.avg_degree = args.get_uint("avg-degree", 0);
+  cfg.communities = args.get_uint("communities", 0);
+  cfg.group_shards = args.get_uint("group-shards", 0);
   return cfg;
 }
 

@@ -59,21 +59,17 @@ int main(int argc, char** argv) {
   if (!args.has("runs")) base.runs = 8;  // big-n points; keep the sweep fast
   base.backend = core::ContactBackend::kSparse;
   if (base.avg_degree == 0) {
-    base.avg_degree = static_cast<std::size_t>(args.get_int("avg-degree", 12));
+    base.avg_degree = args.get_uint("avg-degree", 12);
   }
   if (base.communities == 0) {
-    base.communities = static_cast<std::size_t>(args.get_int("communities", 16));
+    base.communities = args.get_uint("communities", 16);
   }
   if (base.group_shards == 0) {
-    base.group_shards =
-        static_cast<std::size_t>(args.get_int("group-shards", 64));
+    base.group_shards = args.get_uint("group-shards", 64);
   }
-  base.group_size = static_cast<std::size_t>(
-      args.get_int("g", static_cast<std::int64_t>(base.group_size)));
-  base.num_relays = static_cast<std::size_t>(
-      args.get_int("K", static_cast<std::int64_t>(base.num_relays)));
-  base.copies = static_cast<std::size_t>(
-      args.get_int("L", static_cast<std::int64_t>(base.copies)));
+  base.group_size = args.get_uint("g", base.group_size);
+  base.num_relays = args.get_uint("K", base.num_relays);
+  base.copies = args.get_uint("L", base.copies);
   base.ttl = args.get_double("T", base.ttl);
   auto ns = parse_n_list(args.get("n-list", "1000,10000,100000"));
   double max_bytes_per_node = args.get_double("max-bytes-per-node", 0.0);

@@ -56,6 +56,17 @@ std::int64_t Args::get_int(const std::string& name, std::int64_t def) const {
                             : parse_number<std::int64_t>(name, it->second);
 }
 
+std::uint64_t Args::get_uint(const std::string& name,
+                            std::uint64_t def) const {
+  auto it = flags_.find(name);
+  if (it == flags_.end()) return def;
+  if (it->second.rfind('-', 0) == 0) {
+    throw std::invalid_argument("--" + name + ": must not be negative: '" +
+                                it->second + "'");
+  }
+  return parse_number<std::uint64_t>(name, it->second);
+}
+
 double Args::get_double(const std::string& name, double def) const {
   auto it = flags_.find(name);
   return it == flags_.end() ? def : parse_number<double>(name, it->second);

@@ -23,6 +23,9 @@ class Args {
   /// Numeric getters throw std::invalid_argument when the value is not
   /// entirely a number (`--seed=1x`, `--runs=`).
   std::int64_t get_int(const std::string& name, std::int64_t def) const;
+  /// Counts, sizes and seeds: also throws on a negative value, which a cast
+  /// of get_int would wrap to 2^64 - 1.
+  std::uint64_t get_uint(const std::string& name, std::uint64_t def) const;
   double get_double(const std::string& name, double def) const;
   bool get_bool(const std::string& name, bool def) const;
 

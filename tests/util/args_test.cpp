@@ -119,5 +119,38 @@ TEST(Args, PartialNumberMessageNamesFlagAndValue) {
   }
 }
 
+TEST(Args, UnsignedParsing) {
+  Args a = make_args({"prog", "--runs=40", "--seed=18446744073709551615"});
+  EXPECT_EQ(a.get_uint("runs", 200), 40u);
+  EXPECT_EQ(a.get_uint("seed", 1), 18446744073709551615u);
+  EXPECT_EQ(a.get_uint("threads", 0), 0u);
+}
+
+TEST(Args, NegativeUnsignedThrows) {
+  Args a = make_args({"prog", "--runs=-1", "--threads=-4", "--n=-0"});
+  EXPECT_THROW(a.get_uint("runs", 0), std::invalid_argument);
+  EXPECT_THROW(a.get_uint("threads", 0), std::invalid_argument);
+  EXPECT_THROW(a.get_uint("n", 0), std::invalid_argument);
+  try {
+    a.get_uint("runs", 0);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--runs"), std::string::npos) << what;
+    EXPECT_NE(what.find("-1"), std::string::npos) << what;
+  }
+}
+
+TEST(Args, PartialOrOverflowingUnsignedThrows) {
+  Args a = make_args({"prog", "--seed=1x", "--runs=", "--n=2.5", "--k=+3",
+                      "--big=18446744073709551616", "--flag"});
+  EXPECT_THROW(a.get_uint("seed", 0), std::invalid_argument);
+  EXPECT_THROW(a.get_uint("runs", 0), std::invalid_argument);
+  EXPECT_THROW(a.get_uint("n", 0), std::invalid_argument);
+  EXPECT_THROW(a.get_uint("k", 0), std::invalid_argument);
+  EXPECT_THROW(a.get_uint("big", 0), std::invalid_argument);
+  EXPECT_THROW(a.get_uint("flag", 0), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace odtn::util

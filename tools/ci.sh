@@ -8,7 +8,9 @@
 #    recovery, and circuit suites by label, a wire-mode (--wire-cells)
 #    thread-count byte-identity smoke, and a checkpoint/resume
 #    byte-identity smoke check on the CLI.
-# 2. Runs the contact-query byte-identity suite by label, the scale suite
+# 2. Runs the contact-query byte-identity suite by label (every paper
+#    figure binary, Figs. 4-19, against its committed golden table and
+#    metrics export at --threads=1 and 4), the scale suite
 #    (cross-backend equivalence; ctest -L scale) plus a fig_scale smoke at
 #    n=1e5 with a bytes/node bound, then the perf smokes: the micro_sim
 #    hot-path benchmarks against the committed BENCH_micro_sim.json
@@ -95,7 +97,7 @@ cmp "$smoke/ref.stable" "$smoke/resumed.stable"
 cmp "$smoke/ref.jsonl" "$smoke/resumed.jsonl"
 echo "checkpoint/resume output byte-identical"
 
-echo "== contact-query byte-identity suite (ctest -L contact_query) =="
+echo "== contact-query + figure byte-identity suite (ctest -L contact_query) =="
 ctest --test-dir "$repo/build" -L contact_query --output-on-failure -j "$jobs"
 
 echo "== scale suite (ctest -L scale) =="

@@ -127,10 +127,10 @@ int cmd_gen_graph(const util::Args& args) {
   // odtn-lint: allow(rng) — top-level CLI stream seeded from --seed;
   // run-level streams below it derive via derive_seed in the experiment
   // engine
-  util::Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 1)));
-  auto g = graph::random_contact_graph(
-      static_cast<std::size_t>(args.get_int("nodes", 100)), rng,
-      args.get_double("min-ict", 10.0), args.get_double("max-ict", 360.0));
+  util::Rng rng(args.get_uint("seed", 1));
+  auto g = graph::random_contact_graph(args.get_uint("nodes", 100), rng,
+                                       args.get_double("min-ict", 10.0),
+                                       args.get_double("max-ict", 360.0));
   std::string out = args.get("out", "");
   if (out.empty()) {
     std::cout << graph::format_graph(g);
@@ -144,7 +144,7 @@ int cmd_gen_graph(const util::Args& args) {
 
 int cmd_gen_trace(const util::Args& args) {
   std::string kind = args.get("kind", "cambridge");
-  auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  auto seed = args.get_uint("seed", 1);
   std::optional<trace::ContactTrace> t;
   if (kind == "cambridge") {
     t = trace::make_cambridge_like(seed);
@@ -154,8 +154,7 @@ int cmd_gen_trace(const util::Args& args) {
     // odtn-lint: allow(rng) — top-level CLI stream seeded from --seed (see
     // above)
     util::Rng rng(seed);
-    auto g = graph::random_contact_graph(
-        static_cast<std::size_t>(args.get_int("nodes", 100)), rng);
+    auto g = graph::random_contact_graph(args.get_uint("nodes", 100), rng);
     t = trace::sample_poisson_trace(g, args.get_double("horizon", 3600.0),
                                     rng);
   } else {
@@ -179,7 +178,7 @@ int cmd_rates(const util::Args& args) {
     std::cerr << "rates: --trace=FILE required\n";
     return 2;
   }
-  auto nodes = static_cast<std::size_t>(args.get_int("nodes", 0));
+  auto nodes = args.get_uint("nodes", 0);
   if (nodes < 2) {
     std::cerr << "rates: --nodes=N required\n";
     return 2;
@@ -196,10 +195,10 @@ int cmd_rates(const util::Args& args) {
 }
 
 int cmd_model(const util::Args& args) {
-  auto n = static_cast<std::size_t>(args.get_int("n", 100));
-  auto g = static_cast<std::size_t>(args.get_int("g", 5));
-  auto k = static_cast<std::size_t>(args.get_int("K", 3));
-  auto l = static_cast<std::size_t>(args.get_int("L", 1));
+  auto n = args.get_uint("n", 100);
+  auto g = args.get_uint("g", 5);
+  auto k = args.get_uint("K", 3);
+  auto l = args.get_uint("L", 1);
   double ttl = args.get_double("T", 1800.0);
   double p = args.get_double("compromised", 0.1);
   std::size_t eta = k + 1;
@@ -214,7 +213,7 @@ int cmd_model(const util::Args& args) {
   cfg.ttl = ttl;
   cfg.compromise_fraction = p;
   cfg.runs = 200;
-  cfg.threads = static_cast<std::size_t>(args.get_int("threads", 0));
+  cfg.threads = args.get_uint("threads", 0);
   auto r = core::Experiment(cfg).run(core::RandomGraphScenario{});
 
   util::Table table({"metric", "value", "source"});
@@ -251,15 +250,15 @@ int cmd_model(const util::Args& args) {
 
 int cmd_simulate(const util::Args& args) {
   core::ExperimentConfig cfg;
-  cfg.nodes = static_cast<std::size_t>(args.get_int("n", 100));
-  cfg.group_size = static_cast<std::size_t>(args.get_int("g", 5));
-  cfg.num_relays = static_cast<std::size_t>(args.get_int("K", 3));
-  cfg.copies = static_cast<std::size_t>(args.get_int("L", 1));
+  cfg.nodes = args.get_uint("n", 100);
+  cfg.group_size = args.get_uint("g", 5);
+  cfg.num_relays = args.get_uint("K", 3);
+  cfg.copies = args.get_uint("L", 1);
   cfg.ttl = args.get_double("T", 1800.0);
   cfg.compromise_fraction = args.get_double("compromised", 0.1);
-  cfg.runs = static_cast<std::size_t>(args.get_int("runs", 200));
-  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  cfg.threads = static_cast<std::size_t>(args.get_int("threads", 0));
+  cfg.runs = args.get_uint("runs", 200);
+  cfg.seed = args.get_uint("seed", 1);
+  cfg.threads = args.get_uint("threads", 0);
   std::string metrics_path = args.get("metrics-out", "");
   cfg.collect_metrics = !metrics_path.empty();
 
@@ -270,9 +269,9 @@ int cmd_simulate(const util::Args& args) {
     std::cerr << "simulate: --contact-backend must be dense or sparse\n";
     return 2;
   }
-  cfg.avg_degree = static_cast<std::size_t>(args.get_int("avg-degree", 0));
-  cfg.communities = static_cast<std::size_t>(args.get_int("communities", 0));
-  cfg.group_shards = static_cast<std::size_t>(args.get_int("group-shards", 0));
+  cfg.avg_degree = args.get_uint("avg-degree", 0);
+  cfg.communities = args.get_uint("communities", 0);
+  cfg.group_shards = args.get_uint("group-shards", 0);
 
   cfg.faults.mean_uptime = args.get_double("fault-mean-uptime", 0.0);
   cfg.faults.mean_downtime = args.get_double("fault-mean-downtime", 0.0);
@@ -296,8 +295,7 @@ int cmd_simulate(const util::Args& args) {
   cfg.faults.validate();
 
   cfg.checkpoint_path = args.get("checkpoint", "");
-  cfg.checkpoint_interval =
-      static_cast<std::size_t>(args.get_int("checkpoint-interval", 16));
+  cfg.checkpoint_interval = args.get_uint("checkpoint-interval", 16);
   cfg.resume = args.get_bool("resume", false);
 
   // Heavy-traffic workload (odtn::traffic). All-defaults keeps the
@@ -305,8 +303,7 @@ int cmd_simulate(const util::Args& args) {
   double traffic_rate = args.get_double("traffic-rate", 0.0);
   cfg.traffic.horizon = args.get_double("traffic-horizon", 0.0);
   if (traffic_rate > 0.0 || cfg.traffic.horizon > 0.0) {
-    std::size_t flows =
-        static_cast<std::size_t>(args.get_int("traffic-flows", 1));
+    std::size_t flows = args.get_uint("traffic-flows", 1);
     if (flows == 0 || traffic_rate <= 0.0 || cfg.traffic.horizon <= 0.0) {
       throw std::invalid_argument(
           "simulate: traffic needs --traffic-rate > 0, --traffic-horizon > 0 "
@@ -337,12 +334,10 @@ int cmd_simulate(const util::Args& args) {
       cfg.traffic.flows.push_back(flow);
     }
   }
-  cfg.bandwidth.messages_per_contact =
-      static_cast<std::size_t>(args.get_int("bandwidth-capacity", 0));
+  cfg.bandwidth.messages_per_contact = args.get_uint("bandwidth-capacity", 0);
   cfg.bandwidth.mean_duration = args.get_double("bandwidth-mean-duration", 0.0);
   cfg.bandwidth.transfer_time = args.get_double("bandwidth-transfer-time", 0.0);
-  cfg.buffer_capacity =
-      static_cast<std::size_t>(args.get_int("buffer-capacity", 0));
+  cfg.buffer_capacity = args.get_uint("buffer-capacity", 0);
   std::string policy = args.get("buffer-policy", "reject-new");
   if (policy == "drop-oldest") {
     cfg.buffer_policy = sim::BufferPolicy::kDropOldest;
@@ -353,8 +348,7 @@ int cmd_simulate(const util::Args& args) {
   }
   cfg.recovery.acks = args.get_bool("ack-vaccine", false);
   cfg.recovery.retx_timeout = args.get_double("recovery-retx-timeout", 0.0);
-  cfg.recovery.retx_max =
-      static_cast<std::size_t>(args.get_int("recovery-retx-max", 3));
+  cfg.recovery.retx_max = args.get_uint("recovery-retx-max", 3);
   cfg.recovery.retx_backoff = args.get_double("recovery-retx-backoff", 2.0);
   cfg.recovery.retx_jitter = args.get_double("recovery-retx-jitter", 0.1);
   cfg.recovery.suspicion_alpha =
@@ -372,8 +366,7 @@ int cmd_simulate(const util::Args& args) {
   cfg.recovery.validate();
 
   cfg.wire_cells = args.get_bool("wire-cells", false);
-  cfg.cell_size = static_cast<std::size_t>(
-      args.get_int("cell-size", static_cast<std::int64_t>(cfg.cell_size)));
+  cfg.cell_size = args.get_uint("cell-size", cfg.cell_size);
   // Wire mode fragments real sealed packets; there is no simulated-crypto
   // variant of a cell stream.
   if (cfg.wire_cells) cfg.crypto = routing::CryptoMode::kReal;
@@ -396,7 +389,7 @@ int cmd_simulate(const util::Args& args) {
     core::SparseTraceScenario sts;
     sts.path = trace_path;
     sts.format = trace::parse_trace_format(args.get("trace-format", "plain"));
-    sts.nodes = static_cast<std::size_t>(args.get_int("trace-nodes", 0));
+    sts.nodes = args.get_uint("trace-nodes", 0);
     scenario = sts;
   }
   auto r = core::Experiment(cfg).run(scenario);
